@@ -1,6 +1,8 @@
 package repro.core
 
+import java.util.concurrent.{Callable, ExecutionException, Executors}
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.count_if
 
 /** Cardinality constraints (CCs, §2.2) and their extraction from Annotated
   * Query Plans executed on the client database.
@@ -24,9 +26,16 @@ final case class Query(root: String, joined: Seq[String], filters: Map[String, D
   def relations: Seq[String] = root +: joined
 }
 
-/** Extracts CCs from workload queries by *executing* the canonical plan on
-  * the client DataFrames and annotating each operator's output cardinality —
-  * our Spark stand-in for fetching AQPs from the PostgreSQL engine (§3.1).
+/** Extracts CCs from workload queries by *executing* them on the client
+  * DataFrames — our Spark stand-in for fetching AQPs from the PostgreSQL
+  * engine (§3.1).
+  *
+  * Every CC counts rows of one relation's *view* (§3.2, and DataSynth,
+  * Arasu et al., SIGMOD 2011), so the extractor first plans every wanted
+  * count without touching Spark and then counts all CCs of a view in one
+  * aggregation: the view's relation, left-joined with just the relations its
+  * join-prefix CCs need, feeds one `count_if` per CC. The views'
+  * aggregations are submitted concurrently.
   */
 object Aqp {
 
@@ -46,59 +55,116 @@ object Aqp {
     }
   }
 
-  /** CCs for one query: base sizes, per-relation filter cardinalities, and
-    * the output cardinality of every join prefix (all counted with Spark).
-    * Join-prefix CCs are rewritten onto the root relation's view, with the
-    * predicate being the conjunction of all filters applied so far (§3.2).
+  /** A PK-FK join edge: `from.fk.column = fk.target`'s PK. */
+  private final case class Edge(from: String, fk: ForeignKey)
+
+  /** One count to make: the rows of `cc.relation` that satisfy `cc.pred`
+    * and whose FK chain matches a row of every relation in `joins` (in join
+    * order; empty for base and own-filter CCs). `cc.card` is not yet set.
     */
-  def extractQueryCCs(
-      schema: SchemaDef,
-      q: Query,
-      dfs: Map[String, DataFrame],
-      countCache: scala.collection.mutable.Map[(String, String), Long],
-  ): Seq[CC] = {
-    validate(schema, q)
-    def countOf(rel: String, pred: Dnf)(body: => Long): Long =
-      countCache.getOrElseUpdate(CC(rel, pred, 0).dedupKey, body)
+  private final case class Wanted(cc: CC, joins: Seq[Edge])
 
-    val base = q.relations.map(r => CC(r, Dnf.True, countOf(r, Dnf.True)(dfs(r).count())))
-
-    val filterCCs = q.filters.toSeq.collect {
-      case (rel, dnf) if !dnf.isTrue =>
-        CC(rel, dnf, countOf(rel, dnf)(dfs(rel).filter(dnf.toColumn).count()))
+  /** The wanted counts of a workload, in extraction order (per query: base
+    * sizes, own-filter counts, join-prefix counts), first occurrence of each
+    * [[CC.dedupKey]] only: that occurrence defines the count.
+    */
+  private def plan(schema: SchemaDef, queries: Seq[Query]): Seq[Wanted] = {
+    queries.foreach(validate(schema, _))
+    val seen = scala.collection.mutable.LinkedHashMap[(String, String), Wanted]()
+    def want(w: Wanted): Unit = seen.getOrElseUpdate(w.cc.dedupKey, w)
+    queries.foreach { q =>
+      q.relations.foreach(r => want(Wanted(CC(r, Dnf.True, 0), Nil)))
+      q.filters.toSeq.foreach { case (rel, dnf) =>
+        if (!dnf.isTrue) want(Wanted(CC(rel, dnf, 0), Nil))
+      }
+      var pred = q.filters.getOrElse(q.root, Dnf.True)
+      var joins = Vector.empty[Edge]
+      q.joined.foreach { d =>
+        // The first relation of the query that references d (validated: one
+        // joined before d does), through its first FK to d.
+        joins :+= q.relations.iterator
+          .flatMap(r => schema.byName(r).fks.filter(_.target == d).map(Edge(r, _)))
+          .next()
+        pred = pred.and(q.filters.getOrElse(d, Dnf.True))
+        want(Wanted(CC(q.root, pred, 0), joins))
+      }
     }
-
-    // Left-deep join prefixes, each annotated with its output cardinality.
-    def filtered(rel: String): DataFrame = q.filters.get(rel) match {
-      case Some(p) if !p.isTrue => dfs(rel).filter(p.toColumn)
-      case _                    => dfs(rel)
-    }
-    var cur = filtered(q.root)
-    var pred = q.filters.getOrElse(q.root, Dnf.True)
-    val joinCCs = q.joined.map { d =>
-      val fk = q.relations
-        .flatMap(r => schema.byName(r).fks.filter(_.target == d))
-        .head // validated above: some earlier relation references d
-      val pk = schema.byName(d).pkCol
-      val fd = filtered(d)
-      cur = cur.join(fd, cur(fk.column) === fd(pk))
-      pred = pred.and(q.filters.getOrElse(d, Dnf.True))
-      val p = pred
-      CC(q.root, p, countOf(q.root, p)(cur.count()))
-    }
-    base ++ filterCCs ++ joinCCs
+    seen.values.toSeq
   }
 
-  /** Extract and de-duplicate the CCs of a whole workload. */
+  /** The FK edge that joins each relation into `relation`'s view, in join
+    * order. A relation that two wanted counts reach through different edges
+    * (a diamond in the FK graph) is rejected: the view would need it twice.
+    */
+  private def viewJoins(relation: String, wanted: Seq[Wanted]): Seq[Edge] = {
+    val edges = scala.collection.mutable.LinkedHashMap[String, (Edge, Seq[Edge])]()
+    def path(e: Edge, joins: Seq[Edge]): String = {
+      val hop = s"${e.from}.${e.fk.column} → ${e.fk.target}"
+      joins.find(_.fk.target == e.from).fold(hop)(p => s"${path(p, joins)}; $hop")
+    }
+    for (w <- wanted; e <- w.joins) edges.get(e.fk.target) match {
+      case None => edges(e.fk.target) = (e, w.joins)
+      case Some((first, firstJoins)) =>
+        require(first == e,
+          s"view of $relation reaches ${e.fk.target} through two FK paths: " +
+            s"[${path(first, firstJoins)}] and [${path(e, w.joins)}]")
+    }
+    edges.values.map(_._1).toSeq
+  }
+
+  /** Count every wanted CC of `relation`'s view in one aggregation. Left
+    * joins on the (unique) PKs keep one row per row of `relation`; a CC with
+    * joins counts only rows whose joined PKs all matched, as an inner join
+    * would, so dangling FKs drop out of join-prefix counts alone.
+    */
+  private def countView(
+      schema: SchemaDef,
+      relation: String,
+      wanted: Seq[Wanted],
+      joins: Seq[Edge],
+      dfs: Map[String, DataFrame],
+  ): Seq[Long] = {
+    val pk = joins.map(e => e.fk.target -> dfs(e.fk.target)(schema.byName(e.fk.target).pkCol)).toMap
+    val view = joins.foldLeft(dfs(relation)) { (cur, e) =>
+      cur.join(dfs(e.fk.target), cur(e.fk.column) === pk(e.fk.target), "left")
+    }
+    val counts = wanted.map { w =>
+      count_if(w.joins.foldLeft(w.cc.pred.toColumn)((c, e) => c && pk(e.fk.target).isNotNull))
+    }
+    val row = view.agg(counts.head, counts.tail: _*).head()
+    wanted.indices.map(row.getLong)
+  }
+
+  /** Extract and de-duplicate the CCs of a whole workload: the CCs of every
+    * query (base sizes, per-relation filter cardinalities and the output
+    * cardinality of every join prefix, rewritten onto the root relation's
+    * view with the conjunction of the filters applied so far, §3.2), first
+    * occurrence of each [[CC.dedupKey]] kept, in query order.
+    */
   def extractWorkloadCCs(
       schema: SchemaDef,
       queries: Seq[Query],
       dfs: Map[String, DataFrame],
   ): Seq[CC] = {
-    val cache = scala.collection.mutable.Map[(String, String), Long]()
-    val all = queries.flatMap(q => extractQueryCCs(schema, q, dfs, cache))
-    val seen = scala.collection.mutable.LinkedHashMap[(String, String), CC]()
-    all.foreach(cc => seen.getOrElseUpdate(cc.dedupKey, cc))
-    seen.values.toSeq
+    val wanted = plan(schema, queries)
+    val views = wanted.map(_.cc.relation).distinct.map { rel =>
+      val ws = wanted.filter(_.cc.relation == rel)
+      (rel, ws, viewJoins(rel, ws))
+    }
+    if (views.isEmpty) return Nil
+    // Threads created here inherit the caller's Spark local properties, so
+    // the aggregations run in the caller's job group.
+    val pool = Executors.newFixedThreadPool(views.size)
+    val cards = try {
+      val counting = views.map { case (rel, ws, joins) =>
+        val count: Callable[Seq[((String, String), Long)]] =
+          () => ws.map(_.cc.dedupKey).zip(countView(schema, rel, ws, joins, dfs))
+        pool.submit(count)
+      }
+      counting.flatMap { f =>
+        try f.get() catch { case e: ExecutionException => throw e.getCause }
+      }.toMap
+    } finally pool.shutdown()
+    wanted.map(w => w.cc.copy(card = cards(w.cc.dedupKey)))
   }
 }

@@ -29,6 +29,7 @@ object LPFormulator {
       numConstraints: Int,
       solveMillis: Long,
       exact: Boolean,
+      exhausted: Boolean = false,
   )
 
   final case class ViewLpResult(
@@ -171,13 +172,13 @@ object LPFormulator {
     val solutions = lp.subs.indices.map { i =>
       val rows = lp.parts(i).zipWithIndex.flatMap { case (b, r) =>
         val v = sol.values(lp.offsets(i) + r)
-        if (v.signum > 0) Some((b.boxes.head, v.toLong)) else None
+        if (v.signum > 0) Some((b.boxes.head, v.bigInteger.longValueExact)) else None
       }
       SubViewSolution(lp.subs(i), rows)
     }.toVector
     val ms = (System.nanoTime() - t0) / 1000000
     ViewLpResult(lp.relation, lp.total, solutions,
-      ViewLpStats(lp.relation, lp.subs.size, lp.nVars, lp.eqs.size, ms, sol.exact))
+      ViewLpStats(lp.relation, lp.subs.size, lp.nVars, lp.eqs.size, ms, sol.exact, sol.exhausted))
   }
 
   /** Solve a view LP over the rationals (DataSynth path: the masses feed a

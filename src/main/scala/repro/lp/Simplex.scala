@@ -8,10 +8,11 @@ package repro.lp
   * fall-back to Bland's rule guarantees termination; all arithmetic is in
   * exact rationals so feasible systems are never misreported.
   *
-  * [[Simplex.feasibleIntegral]] layers a deterministic integrality search on
-  * top: fractional variables are pinned one at a time to ⌊v⌋ (or ⌈v⌉ if the
-  * floor is infeasible) and the LP re-solved, which in practice yields exact
-  * integer solutions for these near-unimodular partition systems.
+  * [[Simplex.feasibleIntegral]] layers a deterministic depth-first
+  * branch-and-bound on top: a variable at a fractional value `x = v` is
+  * branched into `x ≤ ⌊v⌋` (tried first) and `x ≥ ⌈v⌉`, and the LP re-solved
+  * with the new bound, which in practice yields exact integer solutions for these
+  * near-unimodular partition systems within a small node budget.
   */
 object Simplex {
 
@@ -117,9 +118,10 @@ object Simplex {
   }
 
   /** Result of the integral search: values plus whether they satisfy the
-    * system exactly (false ⇒ floor-rounding fallback was used).
+    * system exactly (false ⇒ floor-rounding fallback was used), and whether
+    * the branch-and-bound node budget ran out before that fallback.
     */
-  final case class IntegralSolution(values: Array[BigInt], exact: Boolean)
+  final case class IntegralSolution(values: Array[BigInt], exact: Boolean, exhausted: Boolean = false)
 
   /** Find a non-negative *integer* solution of `{ eqs, x ≥ 0 }` with proper
     * branch-and-bound: branch a fractional basic `x_j = f` into
@@ -165,9 +167,8 @@ object Simplex {
       case Some(sol) => Some(IntegralSolution(sol.map(_.num), exact = true))
       case None =>
         // Either the node budget ran out or no integer point exists; fall
-        // back to the floored LP relaxation and report inexactness.
-        val _ = exhausted
-        Some(IntegralSolution(root.map(_.floor), exact = false))
+        // back to the floored LP relaxation and report which.
+        Some(IntegralSolution(root.map(_.floor), exact = false, exhausted))
     }
   }
 }

@@ -68,8 +68,7 @@ class AqpSpec extends SparkSpec {
   }
 
   test("extracted CCs carry base sizes, filter counts and join-prefix counts") {
-    val cache = scala.collection.mutable.Map[(String, String), Long]()
-    val ccs = Aqp.extractQueryCCs(schema, q, dfs, cache)
+    val ccs = Aqp.extractWorkloadCCs(schema, Seq(q), dfs)
     // base CCs for 3 relations + 3 filter CCs + 2 join-prefix CCs.
     assert(ccs.count(_.pred.isTrue) == 3)
     assert(ccs.size == 8)
@@ -78,15 +77,13 @@ class AqpSpec extends SparkSpec {
   }
 
   test("filter CC counts match direct Spark filters") {
-    val cache = scala.collection.mutable.Map[(String, String), Long]()
-    val ccs = Aqp.extractQueryCCs(schema, q, dfs, cache)
+    val ccs = Aqp.extractWorkloadCCs(schema, Seq(q), dfs)
     val itemCc = ccs.find(c => c.relation == "item" && !c.pred.isTrue).get
     assert(itemCc.card == dfs("item").filter(itemCc.pred.toColumn).count())
   }
 
   test("join-prefix CC equals the manually computed join cardinality") {
-    val cache = scala.collection.mutable.Map[(String, String), Long]()
-    val ccs = Aqp.extractQueryCCs(schema, q, dfs, cache)
+    val ccs = Aqp.extractWorkloadCCs(schema, Seq(q), dfs)
     val full = ccs.filter(c => c.relation == "store_sales" && !c.pred.isTrue)
       .maxBy(_.pred.attrs.size)
     val ss = dfs("store_sales").filter(q.filters("store_sales").toColumn)

@@ -79,4 +79,12 @@ class DnfSpec extends AnyFunSuite {
   test("attrs union") {
     assert(d1.attrs == Set("a", "b"))
   }
+  test("and of DNFs whose conjunct pairs all contradict is rejected, not true") {
+    val d2 = Dnf.of(Conjunct.range("a", 20, 30))
+    val d3 = Dnf.of(Conjunct.range("a", 40, 50), Conjunct.range("a", 60, 70))
+    intercept[IllegalArgumentException](d2.and(d3))
+    intercept[IllegalArgumentException](d3.and(d2))
+    // One satisfiable pair is enough.
+    assert(d3.and(Dnf.of(Conjunct.range("a", 45, 65))).conjuncts.size == 2)
+  }
 }

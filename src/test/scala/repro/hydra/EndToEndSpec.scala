@@ -51,8 +51,7 @@ class EndToEndSpec extends SparkSpec {
   test("re-executing the workload on regenerated data reproduces the AQP cardinalities") {
     // Spark-side verification of volumetric similarity for a subset of the
     // workload (summary-side arithmetic is checked above for all CCs).
-    val cache = scala.collection.mutable.Map[(String, String), Long]()
-    val regenCcs = queries.take(3).flatMap(q => Aqp.extractQueryCCs(schema, q, regen, cache))
+    val regenCcs = Aqp.extractWorkloadCCs(schema, queries.take(3), regen)
     val want = ccs.map(c => c.dedupKey -> c.card).toMap
     regenCcs.foreach { got =>
       val expect = want(got.dedupKey)

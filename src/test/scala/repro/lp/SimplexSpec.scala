@@ -119,6 +119,17 @@ class SimplexSpec extends AnyFunSuite with PropSupport {
     assert(s.values.toSeq == Seq(BigInt(1), BigInt(0), BigInt(1)))
   }
 
+  test("a node budget that runs out is reported as exhausted, not exact") {
+    // x0+x1 = 1, x0+x2 = 1, x1+x2+x3 = 1: the LP vertex is (½,½,½,0); the
+    // integer point (1,0,0,1) takes branching.
+    val eqs = Seq(eq(1, 0 -> 1L, 1 -> 1L), eq(1, 0 -> 1L, 2 -> 1L), eq(1, 1 -> 1L, 2 -> 1L, 3 -> 1L))
+    assert(!feasible(4, eqs).get.forall(_.isWhole))
+    val cut = feasibleIntegral(4, eqs, maxNodes = 1).get
+    assert(cut.exhausted && !cut.exact)
+    val full = feasibleIntegral(4, eqs).get
+    assert(full.exact && !full.exhausted)
+  }
+
   test("random feasible partition systems (property)") {
     // Build: vars x0..x{n-1} with a known integral ground truth; constraints
     // are sums over random subsets with rhs evaluated on the truth.
