@@ -1,53 +1,13 @@
 package repro.bench
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.SparkSpec
-import repro.core._
-import repro.tpcds.{TpcdsLite, TpcdsWorkload}
-import repro.job.{JobLite, JobWorkload}
+import repro.exhibits.{Exhibits, Inputs, Table}
 
-/** Shared, lazily-built state for the benchmark suites: one client database
-  * per benchmark schema and the CC sets of each workload. Building CCs means
-  * executing every workload query on Spark (the AQP step), so it is done
-  * once per JVM and reused by all bench suites.
+/** The exhibit inputs every bench suite shares. Building CCs means executing
+  * every workload query on Spark (the AQP step), so it is done once per JVM.
   */
 object BenchEnv {
-  lazy val spark: SparkSession = SparkSpec.shared
+  lazy val inputs: Inputs = Inputs(SparkSpec.shared, Exhibits.DefaultSf)
 
-  /** "Client" scale factor for CC extraction (≈ the paper's 100 GB role). */
-  val sf = 0.01
-
-  lazy val tpcdsDb: Map[String, DataFrame] = TpcdsLite.clientDb(spark, sf)
-  lazy val jobDb: Map[String, DataFrame] = JobLite.clientDb(spark, sf)
-
-  lazy val wlc: Seq[Query] = TpcdsWorkload.wlc()
-  lazy val wls: Seq[Query] = TpcdsWorkload.wls()
-  lazy val jobWl: Seq[Query] = JobWorkload.queries()
-
-  lazy val wlcCcs: Seq[CC] = Aqp.extractWorkloadCCs(TpcdsLite.schema, wlc, tpcdsDb)
-  lazy val wlsCcs: Seq[CC] = Aqp.extractWorkloadCCs(TpcdsLite.schema, wls, tpcdsDb)
-  lazy val jobCcs: Seq[CC] = Aqp.extractWorkloadCCs(JobLite.schema, jobWl, jobDb)
-
-  /** Render one reproduced table; benches print these and EXPERIMENTS.md
-    * records them next to the paper's numbers.
-    */
-  def table(title: String, headers: Seq[String], rows: Seq[Seq[String]]): Unit = {
-    val all = headers +: rows
-    val widths = headers.indices.map(i => all.map(_(i).length).max)
-    def fmt(r: Seq[String]) =
-      r.zip(widths).map { case (c, w) => c.padTo(w, ' ') }.mkString("| ", " | ", " |")
-    val sep = widths.map("-" * _).mkString("|-", "-|-", "-|")
-    println(s"\n== $title ==")
-    println(fmt(headers)); println(sep)
-    rows.foreach(r => println(fmt(r)))
-    println()
-  }
-
-  def log10Bucket(v: Long): Int = if (v <= 0) 0 else math.log10(v.toDouble).toInt
-
-  def time[A](body: => A): (A, Long) = {
-    val t0 = System.nanoTime()
-    val a = body
-    (a, (System.nanoTime() - t0) / 1000000)
-  }
+  def show(t: Table): Unit = println(Exhibits.render(t))
 }

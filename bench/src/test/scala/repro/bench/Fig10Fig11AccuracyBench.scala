@@ -1,33 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.CC
-import repro.datasynth.DataSynth
-import repro.hydra.Hydra
-import repro.tpcds.TpcdsLite
-
-/** Shared WLs regeneration results for the accuracy benches (§7.1). */
-object WlsPipelines {
-  lazy val ccs: Seq[CC] = BenchEnv.wlsCcs
-  private lazy val byRel = ccs.groupBy(_.relation)
-
-  lazy val hydra: Hydra.Result =
-    Hydra.buildSummary(TpcdsLite.schema, ccs, TpcdsLite.rowCounts(BenchEnv.sf))
-
-  lazy val dsGrids: Seq[DataSynth.ViewGrid] = TpcdsLite.schema.relations.map { r =>
-    val rc = byRel.getOrElse(r.name, Nil)
-    val total = rc.find(_.pred.isTrue).map(_.card)
-      .getOrElse(TpcdsLite.rowCounts(BenchEnv.sf)(r.name))
-    DataSynth.solveView(TpcdsLite.schema, r.name, rc, total)
-  }
-  lazy val dataSynth: DataSynth.Result =
-    DataSynth.instantiate(TpcdsLite.schema, dsGrids, byRel, seed = 4242)
-
-  /** Signed relative error of a CC under a count function. */
-  def relErr(cc: CC, got: Long): Double =
-    if (cc.card == 0) { if (got == 0) 0.0 else 1.0 }
-    else (got - cc.card).toDouble / cc.card
-}
+import repro.exhibits.Exhibits
 
 /** Figure 10: percentage of CCs within a given (absolute) relative error.
   * Paper: Hydra ≈90 % of CCs at ~0 error, all within 10 %, positive-only;
@@ -35,20 +9,10 @@ object WlsPipelines {
   */
 class Fig10VolumetricSimilarityBench extends AnyFunSuite {
   test("Figure 10: quality of volumetric similarity (WLs)") {
-    val ccs = WlsPipelines.ccs
-    val hydraErrs = ccs.map(cc => WlsPipelines.relErr(cc, WlsPipelines.hydra.ccCount(cc)))
-    val dsErrs = ccs.map(cc => WlsPipelines.relErr(cc, DataSynth.ccCount(WlsPipelines.dataSynth, cc)))
-
-    val cuts = Seq(0.0, 0.001, 0.01, 0.05, 0.1, 0.2, 0.4, 0.6, 1.0)
-    def cdf(errs: Seq[Double]) =
-      cuts.map(c => 100.0 * errs.count(e => math.abs(e) <= c) / errs.size)
-    val h = cdf(hydraErrs); val d = cdf(dsErrs)
-    BenchEnv.table("Figure 10 — % of CCs within relative error (WLs)",
-      Seq("relative error <=", "Hydra %", "DataSynth %"),
-      cuts.indices.map(i => Seq(cuts(i).toString, f"${h(i)}%.1f", f"${d(i)}%.1f")))
-    println(f"max |err|: hydra=${hydraErrs.map(math.abs).max}%.4f " +
-      f"datasynth=${dsErrs.map(math.abs).max}%.4f; " +
-      f"negative errors: hydra=${hydraErrs.count(_ < 0)} datasynth=${dsErrs.count(_ < 0)}")
+    val ccs = BenchEnv.inputs.wlsCcs
+    val r = Exhibits.fig10(BenchEnv.inputs)
+    BenchEnv.show(r.table)
+    val (hydraErrs, dsErrs) = (r.hydraErrs, r.dsErrs)
 
     // Shape assertions from §7.1. Absolute percentages are scale-dependent:
     // at a 100 GB client, RI extras are negligible relative to CC counts;
@@ -77,20 +41,13 @@ class Fig10VolumetricSimilarityBench extends AnyFunSuite {
   */
 class Fig11ExtraTuplesBench extends AnyFunSuite {
   test("Figure 11: extra tuples for referential integrity (WLs)") {
-    val hydraX = WlsPipelines.hydra.extraTuples.withDefaultValue(0L)
-    val dsX = WlsPipelines.dataSynth.extraTuples.withDefaultValue(0L)
-    val rels = TpcdsLite.schema.relations.map(_.name)
-    BenchEnv.table("Figure 11 — extra tuples for referential integrity (WLs)",
-      Seq("relation", "Hydra", "DataSynth"),
-      rels.map(r => Seq(r, hydraX(r).toString, dsX(r).toString)))
-    val hTotal = rels.map(hydraX).sum
-    val dTotal = rels.map(dsX).sum
-    println(s"totals: hydra=$hTotal datasynth=$dTotal (paper: ~10x gap, log scale)")
+    val r = Exhibits.fig11(BenchEnv.inputs)
+    BenchEnv.show(r.table)
+    val (hTotal, dTotal) = (r.hydraTotal, r.dsTotal)
     assert(dTotal >= hTotal, "DataSynth should need at least as many extras")
     assert(dTotal >= 2 * math.max(hTotal, 1),
       s"DataSynth extras ($dTotal) should be a multiple of Hydra's ($hTotal)")
     // Hydra extras are data-scale-free: bounded by summary size, not rows.
-    val summaryRows = WlsPipelines.hydra.summary.relations.map(_.rows.size).sum
-    assert(hTotal <= summaryRows, s"hydra extras $hTotal exceed summary rows $summaryRows")
+    assert(hTotal <= r.summaryRows, s"hydra extras $hTotal exceed summary rows ${r.summaryRows}")
   }
 }

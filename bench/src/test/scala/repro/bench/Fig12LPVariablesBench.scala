@@ -1,9 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.datasynth.GridPartition
-import repro.hydra.LPFormulator
-import repro.tpcds.TpcdsLite
+import repro.exhibits.Exhibits
 
 /** Figure 9: distribution of CC cardinalities in WLc (log-scale buckets).
   * Paper: wide range, from a few tuples to ~a billion; ours spans the same
@@ -11,15 +9,10 @@ import repro.tpcds.TpcdsLite
   */
 class Fig09CardinalityDistBench extends AnyFunSuite {
   test("Figure 9: CC cardinality distribution (WLc)") {
-    val ccs = BenchEnv.wlcCcs
-    val buckets = ccs.groupBy(c => BenchEnv.log10Bucket(c.card)).toSeq.sortBy(_._1)
-    BenchEnv.table("Figure 9 — CC cardinality distribution, WLc",
-      Seq("log10(card) bucket", "num CCs"),
-      buckets.map { case (b, cs) => Seq(s"10^$b..10^${b + 1}", cs.size.toString) })
-    println(s"total CCs: ${ccs.size} from ${BenchEnv.wlc.size} queries " +
-      s"(paper: 351 CCs from 131 queries)")
-    assert(ccs.size > 100, "WLc should produce a rich CC set")
-    assert(buckets.size >= 4, "cardinalities should span several orders of magnitude")
+    val r = Exhibits.fig09(BenchEnv.inputs)
+    BenchEnv.show(r.table)
+    assert(r.ccs.size > 100, "WLc should produce a rich CC set")
+    assert(r.buckets.size >= 4, "cardinalities should span several orders of magnitude")
   }
 }
 
@@ -29,20 +22,9 @@ class Fig09CardinalityDistBench extends AnyFunSuite {
   */
 class Fig12LPVariablesBench extends AnyFunSuite {
   test("Figure 12: LP variables per relation (WLc)") {
-    val schema = TpcdsLite.schema
-    val byRel = BenchEnv.wlcCcs.groupBy(_.relation)
-    val rows = schema.relations.map { r =>
-      val ccs = byRel.getOrElse(r.name, Nil)
-      val hydra = LPFormulator.variableCount(schema, r.name, ccs)
-      val grid = GridPartition.variableCount(schema, ccs)
-      (r.name, hydra, grid)
-    }
-    BenchEnv.table("Figure 12 — LP variables, WLc (Hydra regions vs DataSynth grid)",
-      Seq("relation", "Hydra vars", "DataSynth vars", "ratio"),
-      rows.map { case (n, h, g) =>
-        val ratio = if (h == 0) "-" else (BigDecimal(g) / h).toBigInt.toString
-        Seq(n, h.toString, g.toString, ratio)
-      })
+    val fig = Exhibits.fig12(BenchEnv.inputs)
+    BenchEnv.show(fig.table)
+    val rows = fig.rows
     // Shape: item (the paper's showcase) sees orders-of-magnitude reduction;
     // every constrained relation needs no more regions than grid cells, and
     // the overall tally is dominated by the grid side.

@@ -1,10 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.CC
-import repro.datasynth.DataSynth
-import repro.hydra.LPFormulator
-import repro.tpcds.TpcdsLite
+import repro.exhibits.Exhibits
 
 /** Figure 13: LP processing time.
   * Paper:   WLc — DataSynth crash, Hydra 58 s;  WLs — DataSynth 50 min,
@@ -13,55 +10,16 @@ import repro.tpcds.TpcdsLite
   * variables), and absolute times are scaled to the smaller workloads.
   */
 class Fig13LPTimeBench extends AnyFunSuite {
-  private val schema = TpcdsLite.schema
-
-  private def totalsOf(ccs: Seq[CC]): Map[String, Long] =
-    TpcdsLite.rowCounts(BenchEnv.sf)
-
-  private def hydraMillis(ccs: Seq[CC]): Long = {
-    val byRel = ccs.groupBy(_.relation)
-    val totals = totalsOf(ccs)
-    schema.relations.map { r =>
-      val rc = byRel.getOrElse(r.name, Nil)
-      val total = rc.find(_.pred.isTrue).map(_.card).getOrElse(totals(r.name))
-      val res = LPFormulator.solve(schema, r.name, rc, total)
-      assert(res.stats.exact, s"${r.name}: inexact Hydra LP")
-      res.stats.solveMillis
-    }.sum
-  }
-
-  /** (total millis, all views solvable?) for the DataSynth grid path. */
-  private def dataSynthMillis(ccs: Seq[CC], cap: Int): (Long, Boolean) = {
-    val byRel = ccs.groupBy(_.relation)
-    val totals = totalsOf(ccs)
-    val grids = schema.relations.map { r =>
-      val rc = byRel.getOrElse(r.name, Nil)
-      val total = rc.find(_.pred.isTrue).map(_.card).getOrElse(totals(r.name))
-      DataSynth.solveView(schema, r.name, rc, total, solveCap = cap)
-    }
-    (grids.map(_.lpMillis).sum, grids.forall(_.solvable))
-  }
-
   test("Figure 13: LP processing time (WLc and WLs)") {
-    val (hydraC, hydraCms) = BenchEnv.time(hydraMillis(BenchEnv.wlcCcs))
-    val (hydraS, hydraSms) = BenchEnv.time(hydraMillis(BenchEnv.wlsCcs))
-    val ((dsCms, dsCok), _) = BenchEnv.time(dataSynthMillis(BenchEnv.wlcCcs, cap = 20000))
-    val ((dsSms, dsSok), _) = BenchEnv.time(dataSynthMillis(BenchEnv.wlsCcs, cap = 20000))
-    val _ = (hydraC, hydraS, hydraCms, hydraSms)
-
-    BenchEnv.table("Figure 13 — LP processing time",
-      Seq("workload", "DataSynth", "Hydra"),
-      Seq(
-        Seq("WLc", if (dsCok) s"$dsCms ms" else s"CRASH (grid > cap; ${dsCms} ms to detect)",
-          s"$hydraC ms"),
-        Seq("WLs", if (dsSok) s"$dsSms ms" else "CRASH", s"$hydraS ms")))
-    println("paper: WLc DataSynth=crash Hydra=58s; WLs DataSynth=50min Hydra=13s")
+    val r = Exhibits.fig13(BenchEnv.inputs)
+    BenchEnv.show(r.table)
+    assert(r.inexactViews.isEmpty, s"${r.inexactViews.mkString(", ")}: inexact Hydra LP")
 
     // Shape: DataSynth cannot solve WLc; both solve WLs with Hydra faster.
-    assert(!dsCok, "DataSynth grid LP should exceed solver capacity on WLc")
-    assert(dsSok, "DataSynth grid LP should be solvable on WLs")
-    assert(hydraC < 300000, s"Hydra WLc LP took ${hydraC} ms")
-    assert(hydraS <= math.max(dsSms, 50L) * 20,
-      s"Hydra WLs ($hydraS ms) should not be dramatically slower than DataSynth ($dsSms ms)")
+    assert(!r.dsWlcSolvable, "DataSynth grid LP should exceed solver capacity on WLc")
+    assert(r.dsWlsSolvable, "DataSynth grid LP should be solvable on WLs")
+    assert(r.hydraWlcMs < 300000, s"Hydra WLc LP took ${r.hydraWlcMs} ms")
+    assert(r.hydraWlsMs <= math.max(r.dsWlsMs, 50L) * 20,
+      s"Hydra WLs (${r.hydraWlsMs} ms) should not be dramatically slower than DataSynth (${r.dsWlsMs} ms)")
   }
 }

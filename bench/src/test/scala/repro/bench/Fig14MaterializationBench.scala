@@ -1,10 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.CC
-import repro.datasynth.DataSynth
-import repro.hydra.{DbSummary, Hydra, TupleGenerator}
-import repro.tpcds.TpcdsLite
+import repro.exhibits.Exhibits
 
 /** Figure 14: static data materialization time, post-LP.
   * Paper (10 / 100 / 1000 GB): DataSynth 4 h / 42 h / >1 week,
@@ -14,59 +11,10 @@ import repro.tpcds.TpcdsLite
   * instantiates and repairs every tuple before writing.
   */
 class Fig14MaterializationBench extends AnyFunSuite {
-
-  private def scaled(ccs: Seq[CC], k: Long): Seq[CC] = ccs.map(c => c.copy(card = c.card * k))
-
   test("Figure 14: data materialization time") {
-    val spark = BenchEnv.spark
-    val schema = TpcdsLite.schema
-    val base = BenchEnv.wlsCcs
-    val byRelBase = base.groupBy(_.relation)
-    val outRoot = java.nio.file.Files.createTempDirectory("fig14").toString
-
-    // Warm up Spark's write path so the x1 measurement isn't dominated by
-    // first-job initialization costs.
-    {
-      val res = Hydra.buildSummary(schema, base, TpcdsLite.rowCounts(BenchEnv.sf))
-      val p = java.nio.file.Files.createTempFile("fig14-warm", ".summary").toString
-      DbSummary.save(res.summary, p)
-      TupleGenerator.materialize(spark, p, s"$outRoot/warmup")
-    }
-
-    val rows = Seq(1L, 10L, 100L).map { k =>
-      val ccs = scaled(base, k)
-      val byRel = ccs.groupBy(_.relation)
-      val totals = TpcdsLite.rowCounts(BenchEnv.sf).map { case (r, n) => r -> n * k }
-
-      // Hydra: summary → dynamic generation → parquet.
-      val (_, hydraMs) = BenchEnv.time {
-        val res = Hydra.buildSummary(schema, ccs, totals)
-        val p = java.nio.file.Files.createTempFile("fig14", ".summary").toString
-        DbSummary.save(res.summary, p)
-        TupleGenerator.materialize(spark, p, s"$outRoot/hydra-$k")
-      }
-
-      // DataSynth: grid LP → per-tuple sampling → RI repair → parquet.
-      val (_, dsMs) = BenchEnv.time {
-        val grids = schema.relations.map { r =>
-          val rc = byRel.getOrElse(r.name, Nil)
-          val total = rc.find(_.pred.isTrue).map(_.card).getOrElse(totals(r.name))
-          DataSynth.solveView(schema, r.name, rc, total)
-        }
-        val inst = DataSynth.instantiate(schema, grids, byRel, seed = 7)
-        DataSynth.toRelationDfs(spark, schema, inst).foreach { case (rel, df) =>
-          df.write.mode("overwrite").parquet(s"$outRoot/ds-$k/$rel")
-        }
-      }
-      val totalRows = totals.values.sum
-      (k, totalRows, dsMs, hydraMs)
-    }
-
-    BenchEnv.table("Figure 14 — data materialization time",
-      Seq("scale", "total rows", "DataSynth", "Hydra", "speedup"),
-      rows.map { case (k, n, ds, h) =>
-        Seq(s"x$k", n.toString, s"$ds ms", s"$h ms", f"${ds.toDouble / h}%.1f") })
-    println("paper: 10GB 4h vs 2min; 100GB 42h vs 11min; 1000GB >1week vs 1.6h")
+    val r = Exhibits.fig14(BenchEnv.inputs)
+    BenchEnv.show(r.table)
+    val rows = r.rows
 
     // Shape: Hydra materializes faster at every scale, and the gap widens
     // (DataSynth cost is per-tuple on the driver; Hydra is summary + write).
@@ -76,6 +24,5 @@ class Fig14MaterializationBench extends AnyFunSuite {
     val gapSmall = rows.head._3.toDouble / rows.head._4
     val gapBig = rows.last._3.toDouble / rows.last._4
     assert(gapBig > gapSmall, "speedup should grow with scale")
-    val _ = byRelBase
   }
 }

@@ -1,9 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import org.apache.spark.sql.functions._
-import repro.hydra.{DbSummary, Hydra, TupleGenerator}
-import repro.tpcds.TpcdsLite
+import repro.exhibits.Exhibits
 
 /** Figure 15: data supply time — sequential disk scan of the materialized
   * relation vs on-the-fly generation by the Tuple Generator, for the five
@@ -11,47 +9,14 @@ import repro.tpcds.TpcdsLite
   * faster (store_sales 168 s disk vs 87 s dynamic, etc.).
   */
 class Fig15DataSupplyBench extends AnyFunSuite {
-
   test("Figure 15: data supply times (disk scan vs dynamic generation)") {
-    val spark = BenchEnv.spark
-    val schema = TpcdsLite.schema
-    // ×100 the WLs-derived summary: store_sales ≈ 2.9 M rows etc.
-    val ccs = BenchEnv.wlsCcs.map(c => c.copy(card = c.card * 100))
-    val totals = TpcdsLite.rowCounts(BenchEnv.sf).map { case (r, n) => r -> n * 100 }
-    val res = Hydra.buildSummary(schema, ccs, totals)
-    val sumPath = java.nio.file.Files.createTempFile("fig15", ".summary").toString
-    DbSummary.save(res.summary, sumPath)
-    val outDir = java.nio.file.Files.createTempDirectory("fig15").toString
-
-    val rels = Seq("store_returns", "web_sales", "inventory", "catalog_sales", "store_sales")
-    val rows = rels.map { rel =>
-      val df = TupleGenerator.dataFrame(spark, sumPath, rel)
-      df.write.mode("overwrite").parquet(s"$outDir/$rel")
-      val aggCol = schema.byName(rel).attrNames.head
-      def scan(d: org.apache.spark.sql.DataFrame): Unit = {
-        d.agg(count(lit(1)), sum(aggCol)).collect(); ()
-      }
-      // Warm once, then measure.
-      val disk = spark.read.parquet(s"$outDir/$rel")
-      scan(disk)
-      val (_, diskMs) = BenchEnv.time(scan(spark.read.parquet(s"$outDir/$rel")))
-      val dyn = TupleGenerator.dataFrame(spark, sumPath, rel)
-      scan(dyn)
-      val (_, dynMs) = BenchEnv.time(scan(TupleGenerator.dataFrame(spark, sumPath, rel)))
-      (rel, res.summary.byName(rel).total, diskMs, dynMs)
-    }
-
-    BenchEnv.table("Figure 15 — data supply times (aggregate scan)",
-      Seq("relation", "rows", "disk (parquet)", "dynamic (summary)"),
-      rows.map { case (r, n, d, g) => Seq(r, n.toString, s"$d ms", s"$g ms") })
-    println("paper (100GB): e.g. store_sales 168s disk vs 87s dynamic — " +
-      "dynamic competitive or faster")
-
+    val r = Exhibits.fig15(BenchEnv.inputs)
+    BenchEnv.show(r.table)
     // Shape: dynamic generation is practical — within 3x of a parquet scan
     // on every relation (paper: typically faster than a disk scan of
     // uncompressed Postgres pages; parquet is a much stronger baseline).
-    rows.foreach { case (r, _, d, g) =>
-      assert(g <= d * 3 + 2000, s"$r: dynamic $g ms vs disk $d ms — not practical")
+    r.rows.foreach { case (rel, _, d, g) =>
+      assert(g <= d * 3 + 2000, s"$rel: dynamic $g ms vs disk $d ms — not practical")
     }
   }
 }
@@ -61,41 +26,17 @@ class Fig15DataSupplyBench extends AnyFunSuite {
   * summarized in under 2 minutes, after which queries can run immediately.
   */
 class ExabyteScaleBench extends AnyFunSuite {
-
   test("§7.4: summary generation time is independent of data scale") {
-    val schema = TpcdsLite.schema
-    val base = BenchEnv.wlsCcs
-    val rows = Seq(1L, 1000L, 1000000000L, 1000000000000L).map { k =>
-      val ccs = base.map(c => c.copy(card = c.card * k))
-      val totals = TpcdsLite.rowCounts(BenchEnv.sf).map { case (r, n) => r -> n * k }
-      val (res, ms) = BenchEnv.time(Hydra.buildSummary(schema, ccs, totals))
-      val bytes = res.summary.relations.map(_.total).sum * 40 // ≈40 B/row
-      (k, bytes, ms, res)
-    }
-    BenchEnv.table("§7.4 — summary construction vs modeled database scale",
-      Seq("scale", "≈data bytes", "summary build (ms)", "summary rows"),
-      rows.map { case (k, b, ms, r) =>
-        Seq(s"x$k", f"$b%.3g", ms.toString, r.summary.relations.map(_.rows.size).sum.toString) })
-    println("paper: exabyte-scale summary in <2 min; construction is scale-free")
-
-    val times = rows.map(_._3)
+    val r = Exhibits.scale(BenchEnv.inputs)
+    BenchEnv.show(r.table)
+    val times = r.rows.map(_._3)
     assert(times.last < math.max(4 * times.head, times.head + 30000),
       s"summary time should not grow with scale: $times")
-    assert(rows.last._2 > 1e15, "largest modeled database should be petabyte/exabyte class")
+    assert(r.rows.last._2 > 1e15, "largest modeled database should be petabyte/exabyte class")
 
-    // Dynamic generation still works at the huge scale: pull a million-row
-    // slice out of the middle of the (≈10^16-row) store_sales relation.
-    val huge = rows.last._4
-    val p = java.nio.file.Files.createTempFile("exa", ".summary").toString
-    repro.hydra.DbSummary.save(huge.summary, p)
-    val n = huge.summary.byName("store_sales").total
-    val start = n / 2
-    val (cnt, sliceMs) = BenchEnv.time {
-      TupleGenerator.dataFrame(BenchEnv.spark, p, "store_sales",
-        startPk = start, endPk = start + 1000000).count()
-    }
-    println(s"slice of 1e6 tuples from the middle of ~${n} rows generated in $sliceMs ms")
-    assert(cnt == 1000000L)
-    assert(sliceMs < 60000, s"slice generation took $sliceMs ms")
+    // Dynamic generation still works at the huge scale: a million-row slice
+    // out of the middle of the (≈10^16-row) store_sales relation.
+    assert(r.sliceRows == 1000000L)
+    assert(r.sliceMs < 60000, s"slice generation took ${r.sliceMs} ms")
   }
 }

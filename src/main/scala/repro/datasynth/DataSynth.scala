@@ -149,6 +149,9 @@ object DataSynth {
     val instantiateMillis = (System.nanoTime() - t0) / 1000000
 
     // Referential-integrity repair + FK assignment at cell granularity.
+    // Extras are appended to a view only while a view referencing it is
+    // repaired; dependents-first order runs all of those earlier, so each
+    // view's own FK pass covers its final tuple list.
     val t1 = System.nanoTime()
     val extras = mutable.Map[String, Long]().withDefaultValue(0L)
     val fkVals = mutable.Map[String, Vector[Array[Long]]]()
@@ -183,32 +186,6 @@ object DataSynth {
         col
       }
       fkVals(rel) = fkCols
-    }
-    // FK columns for tuples appended during repair (dependents-first order
-    // means a repaired view's own FK pass has already run — extend columns).
-    for (rel <- schema.dependentsFirst if viewTuples.contains(rel)) {
-      val r = schema.byName(rel)
-      val cols = fkVals.getOrElse(rel, Vector.empty)
-      val n = viewTuples(rel).size
-      fkVals(rel) = cols.zip(r.fks).map { case (col, fk) =>
-        if (col.length == n) col
-        else {
-          val tAttrs = viewAttrs(fk.target)
-          val proj = tAttrs.map(a => viewAttrs(rel).indexOf(a))
-          val index = mutable.HashMap[Vector[Int], Int]()
-          viewTuples(fk.target).zipWithIndex.foreach { case (tv, i) =>
-            index.getOrElseUpdate(sigOf(tv, tAttrs, tAttrs.indices), i)
-          }
-          val out = java.util.Arrays.copyOf(col, n)
-          var i = col.length
-          while (i < n) {
-            val sig = sigOf(viewTuples(rel)(i), tAttrs, proj)
-            out(i) = index.getOrElse(sig, 0) + 1L
-            i += 1
-          }
-          out
-        }
-      }
     }
     val riMillis = (System.nanoTime() - t1) / 1000000
     Result(viewAttrs, viewTuples.toMap, fkVals.toMap, extras.toMap, instantiateMillis, riMillis)

@@ -7,7 +7,6 @@ import org.apache.spark.sql.catalyst.expressions.GenericInternalRow
 import org.apache.spark.sql.connector.catalog.{SupportsRead, Table, TableCapability, TableProvider}
 import org.apache.spark.sql.connector.expressions.Transform
 import org.apache.spark.sql.connector.read._
-import org.apache.spark.sql.functions.{broadcast, col}
 import org.apache.spark.sql.types._
 import org.apache.spark.sql.util.CaseInsensitiveStringMap
 import scala.jdk.CollectionConverters._
@@ -159,23 +158,6 @@ object TupleGenerator {
     if (startPk >= 0) r = r.option("startPk", startPk)
     if (endPk >= 0) r = r.option("endPk", endPk)
     r.load(summaryPath)
-  }
-
-  /** Reference generator built from plain DataFrame ops (range + broadcast
-    * range-join against the summary) — used to cross-check the DSv2 scan.
-    */
-  def dataFrameViaJoin(spark: SparkSession, rel: RelationSummary): DataFrame = {
-    import spark.implicits._
-    val rows = rel.rows.zipWithIndex.map { case ((attrs, fks, _), i) =>
-      (rel.starts(i), rel.starts(i + 1), attrs, fks)
-    }
-    val summaryDf = spark.createDataset(rows).toDF("_start", "_end", "_attrs", "_fks")
-    val base = spark.range(1, rel.total + 1).toDF(rel.pkCol)
-    val joined = base.join(broadcast(summaryDf),
-      base(rel.pkCol) > col("_start") && base(rel.pkCol) <= col("_end"))
-    val attrCols = rel.attrCols.zipWithIndex.map { case (c, i) => col("_attrs").getItem(i).as(c) }
-    val fkCols = rel.fkCols.zipWithIndex.map { case (c, i) => col("_fks").getItem(i).as(c) }
-    joined.select((col(rel.pkCol) +: (attrCols ++ fkCols)): _*)
   }
 
   /** Materialize every relation of a summary as parquet ("static" mode). */

@@ -115,11 +115,33 @@ class DataSynthSpec extends AnyFunSuite {
     assert(ccs.exists(cc => DataSynth.ccCount(res, cc) != cc.card))
   }
 
-  test("FK columns reference valid PKs") {
+  private def assertFksValid(schema: SchemaDef, res: DataSynth.Result): Unit =
     for ((rel, cols) <- res.fkVals; (col, fk) <- cols.zip(schema.byName(rel).fks)) {
       val n = res.viewTuples(fk.target).size
+      assert(col.length == res.viewTuples(rel).size, s"$rel.${fk.column} misses tuples")
       assert(col.forall(v => v >= 1 && v <= n), s"$rel.${fk.column} out of range")
     }
+
+  test("FK columns reference valid PKs") {
+    assertFksValid(schema, res)
+  }
+
+  test("FK columns reference valid PKs on a chain whose middle view gets RI extras") {
+    // R -> S -> T: repairing R appends extras to S before S's own FK pass.
+    val chain = SchemaDef(Seq(
+      Relation("T", "T_pk", Seq(Attr("C", 0, 5)), Nil),
+      Relation("S", "S_pk", Seq(Attr("A", 0, 100)), Seq(ForeignKey("T_fk", "T"))),
+      Relation("R", "R_pk", Nil, Seq(ForeignKey("S_fk", "S")))))
+    val cs = Seq(CC("R", Dnf.True, 2000), CC("S", Dnf.True, 3), CC("T", Dnf.True, 10),
+      CC("R", between("A", 20, 60), 1500), CC("R", between("C", 2, 3), 500))
+    val byRel = cs.groupBy(_.relation)
+    val grids = chain.relations.map { r =>
+      val rc = byRel.getOrElse(r.name, Nil)
+      DataSynth.solveView(chain, r.name, rc, rc.find(_.pred.isTrue).get.card)
+    }
+    val res = DataSynth.instantiate(chain, grids, byRel, seed = 5)
+    assert(res.extraTuples.getOrElse("S", 0L) > 0, s"no extras in S: ${res.extraTuples}")
+    assertFksValid(chain, res)
   }
 
   test("needs more RI extras than Hydra (paper Fig. 11 shape)") {

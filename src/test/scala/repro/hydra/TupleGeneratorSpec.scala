@@ -1,5 +1,6 @@
 package repro.hydra
 
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.core._
@@ -49,7 +50,7 @@ class TupleGeneratorSpec extends SparkSpec {
   test("DSv2 scan equals the DataFrame reference generator") {
     for (rel <- Seq("R", "S", "T")) {
       val a = TupleGenerator.dataFrame(spark, summaryPath, rel)
-      val b = TupleGenerator.dataFrameViaJoin(spark, result.summary.byName(rel))
+      val b = TupleGeneratorSpec.dataFrameViaJoin(spark, result.summary.byName(rel))
       assert(a.exceptAll(b).isEmpty && b.exceptAll(a).isEmpty, s"mismatch for $rel")
     }
   }
@@ -121,5 +122,24 @@ class TupleGeneratorSpec extends SparkSpec {
     val p = java.nio.file.Files.createTempFile("tg-empty", ".summary").toString
     DbSummary.save(empty, p)
     assert(TupleGenerator.dataFrame(spark, p, "E").count() == 0)
+  }
+}
+
+object TupleGeneratorSpec {
+  /** Reference generator built from plain DataFrame ops (range + broadcast
+    * range-join against the summary) — used to cross-check the DSv2 scan.
+    */
+  def dataFrameViaJoin(spark: SparkSession, rel: RelationSummary): DataFrame = {
+    import spark.implicits._
+    val rows = rel.rows.zipWithIndex.map { case ((attrs, fks, _), i) =>
+      (rel.starts(i), rel.starts(i + 1), attrs, fks)
+    }
+    val summaryDf = spark.createDataset(rows).toDF("_start", "_end", "_attrs", "_fks")
+    val base = spark.range(1, rel.total + 1).toDF(rel.pkCol)
+    val joined = base.join(broadcast(summaryDf),
+      base(rel.pkCol) > col("_start") && base(rel.pkCol) <= col("_end"))
+    val attrCols = rel.attrCols.zipWithIndex.map { case (c, i) => col("_attrs").getItem(i).as(c) }
+    val fkCols = rel.fkCols.zipWithIndex.map { case (c, i) => col("_fks").getItem(i).as(c) }
+    joined.select((col(rel.pkCol) +: (attrCols ++ fkCols)): _*)
   }
 }
