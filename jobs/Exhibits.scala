@@ -1,6 +1,7 @@
 package repro.exhibits
 
-import java.nio.file.Files
+import java.nio.file.{Files, Path}
+import java.util.Comparator
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions.{count, lit, sum}
 import repro.core._
@@ -32,7 +33,7 @@ final case class Inputs(spark: SparkSession, sf: Double) {
 
   /** TPC-DS-lite relation sizes, every one multiplied by `k`. */
   def tpcdsTotals(k: Long = 1): Map[String, Long] =
-    TpcdsLite.rowCounts(sf).map { case (r, n) => r -> n * k }
+    TpcdsLite.rowCounts(sf).map { case (r, n) => r -> Math.multiplyExact(n, k) }
 
   lazy val wlsHydra: Hydra.Result = Hydra.buildSummary(TpcdsLite.schema, wlsCcs, tpcdsTotals())
   lazy val wlsDataSynth: DataSynth.Result = DataSynth.instantiate(TpcdsLite.schema,
@@ -101,14 +102,25 @@ object Exhibits {
     (a, (System.nanoTime() - t0) / 1000000)
   }
 
-  private def tempFile(prefix: String): String = Files.createTempFile(prefix, ".summary").toString
+  /** Runs `body` in a fresh directory under `java.io.tmpdir`, deleted with
+    * everything in it when `body` returns or throws.
+    */
+  private def withTempDir[A](prefix: String)(body: Path => A): A = {
+    val dir = Files.createTempDirectory(prefix)
+    try body(dir)
+    finally {
+      val paths = Files.walk(dir)
+      try paths.sorted(Comparator.reverseOrder[Path]()).forEach(p => Files.delete(p))
+      finally paths.close()
+    }
+  }
 
   /** Signed relative error of a CC under a count; an empty CC counts 0 or 1. */
   private def relErr(cc: CC, got: Long): Double =
     if (cc.card == 0) { if (got == 0) 0.0 else 1.0 }
     else (got - cc.card).toDouble / cc.card
 
-  private def scaled(ccs: Seq[CC], k: Long): Seq[CC] = ccs.map(c => c.copy(card = c.card * k))
+  private def scaled(ccs: Seq[CC], k: Long): Seq[CC] = ccs.map(c => c.copy(card = Math.multiplyExact(c.card, k)))
 
   /** DataSynth's grid LP of every TPC-DS-lite view, each at its base CC's
     * size or, without one, at `totals`.
@@ -210,12 +222,12 @@ object Exhibits {
     * its CCs scaled ×1/×10/×100. Hydra: summary → dynamic generation →
     * parquet; DataSynth: grid LP → per-tuple sampling → RI repair → parquet.
     */
-  def fig14(in: Inputs): Materialization = {
+  def fig14(in: Inputs): Materialization = withTempDir("fig14") { dir =>
     val spark = in.spark
     val schema = TpcdsLite.schema
-    val outRoot = Files.createTempDirectory("fig14").toString
+    val outRoot = dir.toString
     def hydraToParquet(ccs: Seq[CC], totals: Map[String, Long], out: String): Unit = {
-      val p = tempFile("fig14")
+      val p = s"$out.summary"
       DbSummary.save(Hydra.buildSummary(schema, ccs, totals).summary, p)
       TupleGenerator.materialize(spark, p, out)
     }
@@ -246,12 +258,12 @@ object Exhibits {
   /** Figure 15: aggregate scan of the five biggest relations of the ×100 WLs
     * summary — parquet on disk vs dynamic generation. Each scan is warmed once.
     */
-  def fig15(in: Inputs): DataSupply = {
+  def fig15(in: Inputs): DataSupply = withTempDir("fig15") { dir =>
     val spark = in.spark
     val res = Hydra.buildSummary(TpcdsLite.schema, scaled(in.wlsCcs, 100), in.tpcdsTotals(100))
-    val sumPath = tempFile("fig15")
+    val sumPath = dir.resolve("wls-x100.summary").toString
     DbSummary.save(res.summary, sumPath)
-    val outDir = Files.createTempDirectory("fig15").toString
+    val outDir = dir.toString
     val rows = Seq("store_returns", "web_sales", "inventory", "catalog_sales", "store_sales").map { rel =>
       TupleGenerator.dataFrame(spark, sumPath, rel).write.mode("overwrite").parquet(s"$outDir/$rel")
       val aggCol = TpcdsLite.schema.byName(rel).attrNames.head
@@ -278,11 +290,11 @@ object Exhibits {
       (k, res.summary.relations.map(_.total).sum * 40, ms, res) // ≈40 B/row
     }
     val huge = rows.last._4.summary
-    val p = tempFile("exa")
-    DbSummary.save(huge, p)
     val n = huge.byName("store_sales").total
-    val (cnt, sliceMs) = time {
-      TupleGenerator.dataFrame(in.spark, p, "store_sales", startPk = n / 2, endPk = n / 2 + 1000000).count()
+    val (cnt, sliceMs) = withTempDir("exa") { dir =>
+      val p = dir.resolve("exa.summary").toString
+      DbSummary.save(huge, p)
+      time(TupleGenerator.dataFrame(in.spark, p, "store_sales", startPk = n / 2, endPk = n / 2 + 1000000).count())
     }
     ScaleFree(rows, cnt, sliceMs, Table("§7.4 — summary construction vs modeled database scale",
       Seq("scale", "≈data bytes", "summary build (ms)", "summary rows"),

@@ -85,14 +85,4 @@ object ViewGraph {
     }
     order.map(c => SubView(c.toVector.sorted.map(nodes))).toVector
   }
-
-  /** Check the running-intersection property of an ordered clique list:
-    * each clique's intersection with the union of its predecessors must be
-    * contained in a single predecessor. Used by tests.
-    */
-  def hasRip(svs: Seq[SubView]): Boolean =
-    svs.indices.drop(1).forall { i =>
-      val shared = svs(i).attrSet.intersect(svs.take(i).flatMap(_.attrs).toSet)
-      shared.isEmpty || svs.take(i).exists(p => shared.subsetOf(p.attrSet))
-    }
 }

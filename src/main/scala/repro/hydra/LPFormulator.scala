@@ -16,11 +16,10 @@ import repro.lp.{Rational, Simplex}
   */
 object LPFormulator {
 
-  /** Solution for one sub-view: RIP-ordered rows of (block-box, count).
-    * The box is the block's first box after shared-boundary refinement, so
-    * its shared-dimension intervals are atomic cells (alignment-ready).
+  /** Solution for one sub-view: RIP-ordered rows of (region point, count),
+    * where the point is the region's instantiation (see [[ViewLp.points]]).
     */
-  final case class SubViewSolution(sub: SubView, rows: Vector[(Box, Long)])
+  final case class SubViewSolution(sub: SubView, rows: Vector[(Vector[Double], Long)])
 
   final case class ViewLpStats(
       relation: String,
@@ -39,12 +38,17 @@ object LPFormulator {
       stats: ViewLpStats,
   )
 
-  /** A fully formulated (but unsolved) view LP. */
+  /** A fully formulated (but unsolved) view LP. `points(i)(r)` instantiates
+    * block `r` of sub-view `i` over `subs(i).attrs` (§5.2): the lo-corner of
+    * its first box after shared-boundary refinement, so its shared
+    * coordinates name atomic cells, as alignment needs.
+    */
   final case class ViewLp(
       relation: String,
       total: Long,
       subs: Vector[SubView],
       parts: Vector[Vector[Block]],
+      points: Vector[Vector[Vector[Double]]],
       eqs: Vector[Simplex.Eq],
   ) {
     val nVars: Int = parts.map(_.size).sum
@@ -123,6 +127,7 @@ object LPFormulator {
   ): ViewLp = {
     val nonTrue = ccs.filterNot(_.pred.isTrue)
     val offsets = parts.scanLeft(0)(_ + _.size)
+    val points = parts.map(_.map(_.boxes.head.loPoint))
     val eqs = Vector.newBuilder[Simplex.Eq]
 
     // (a) Per-sub-view totals.
@@ -132,10 +137,10 @@ object LPFormulator {
         Rational(total))
 
     // (b) CC constraints, encoded in every covering sub-view.
+    val named = subs.indices.map(i => points(i).map(subs(i).attrs.zip(_).toMap))
     for (cc <- nonTrue; i <- subs.indices if cc.pred.attrs.subsetOf(subs(i).attrSet)) {
-      val vars = parts(i).zipWithIndex.collect {
-        case (b, r) if cc.pred.eval(b.representative(subs(i).attrs)) =>
-          (offsets(i) + r) -> Rational.One
+      val vars = named(i).zipWithIndex.collect {
+        case (p, r) if cc.pred.eval(p) => (offsets(i) + r) -> Rational.One
       }
       eqs += Simplex.Eq(vars, Rational(cc.card))
     }
@@ -144,10 +149,11 @@ object LPFormulator {
     for (i <- subs.indices; j <- (i + 1) until subs.size) {
       val shared = subs(i).attrSet.intersect(subs(j).attrSet).toVector.sorted
       if (shared.nonEmpty) {
-        def sig(s: SubView, b: Block): Vector[Double] =
-          shared.map(a => b.boxes.head.ivs(s.attrs.indexOf(a)).lo)
-        val gi = parts(i).zipWithIndex.groupBy { case (b, _) => sig(subs(i), b) }
-        val gj = parts(j).zipWithIndex.groupBy { case (b, _) => sig(subs(j), b) }
+        def byShared(k: Int) = {
+          val dims = shared.map(subs(k).attrs.indexOf)
+          points(k).zipWithIndex.groupBy { case (p, _) => dims.map(p) }
+        }
+        val (gi, gj) = (byShared(i), byShared(j))
         for (k <- (gi.keySet ++ gj.keySet).toVector.sortBy(_.mkString(","))) {
           val lhs = gi.getOrElse(k, Vector.empty).map { case (_, r) => (offsets(i) + r) -> Rational.One }
           val rhs = gj.getOrElse(k, Vector.empty).map { case (_, r) => (offsets(j) + r) -> Rational(-1) }
@@ -155,7 +161,7 @@ object LPFormulator {
         }
       }
     }
-    ViewLp(relation, total, subs, parts, eqs.result())
+    ViewLp(relation, total, subs, parts, points, eqs.result())
   }
 
   /** Solve a view LP for an integral solution (Hydra path). */
@@ -170,9 +176,9 @@ object LPFormulator {
       .getOrElse(throw new IllegalStateException(
         s"infeasible LP for view ${lp.relation} (${lp.eqs.size} eqs, ${lp.nVars} vars)"))
     val solutions = lp.subs.indices.map { i =>
-      val rows = lp.parts(i).zipWithIndex.flatMap { case (b, r) =>
+      val rows = lp.points(i).zipWithIndex.flatMap { case (p, r) =>
         val v = sol.values(lp.offsets(i) + r)
-        if (v.signum > 0) Some((b.boxes.head, v.bigInteger.longValueExact)) else None
+        if (v.signum > 0) Some((p, v.bigInteger.longValueExact)) else None
       }
       SubViewSolution(lp.subs(i), rows)
     }.toVector

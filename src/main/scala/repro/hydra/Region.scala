@@ -36,9 +36,6 @@ final case class Box(ivs: Vector[Interval]) {
 
 final case class Block(boxes: Vector[Box]) {
   require(boxes.nonEmpty, "empty block")
-  /** Deterministic representative point: the lo-corner of the first box. */
-  def representative(attrs: Vector[String]): Map[String, Double] =
-    attrs.zip(boxes.head.loPoint).toMap
 }
 
 object RegionPartition {
@@ -77,10 +74,6 @@ object RegionPartition {
     }
     p.map { case (boxes, alive) => (Block(boxes), alive) }
   }
-
-  /** Algorithm 2 (valid partition only — used by tests). */
-  def validPartition(domain: Box, attrs: Vector[String], subCs: Seq[Conjunct]): Vector[Block] =
-    validPartitionLabeled(domain, attrs, subCs.toVector).map(_._1)
 
   /** Algorithm 1: optimal partition of `domain` w.r.t. DNF constraints —
     * the valid partition coarsened by merging blocks with identical

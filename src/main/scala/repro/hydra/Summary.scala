@@ -14,7 +14,7 @@ import scala.jdk.CollectionConverters._
   */
 final case class ViewTable(relation: String, attrs: Vector[String],
                            rows: Vector[(Vector[Double], Long)]) {
-  def total: Long = rows.map(_._2).sum
+  def total: Long = rows.foldLeft(0L)((n, r) => Math.addExact(n, r._2))
   /** Count of tuples satisfying `pred` — the summary-side cardinality. */
   def countWhere(pred: repro.core.Dnf): Long =
     rows.iterator.collect { case (v, c) if pred.eval(attrs.zip(v).toMap) => c }.sum
@@ -31,9 +31,11 @@ final case class RelationSummary(
     fkCols: Vector[String],
     rows: Vector[(Vector[Double], Vector[Long], Long)],
 ) {
-  def total: Long = rows.map(_._3).sum
-  /** Cumulative row-start offsets (rows(i) covers PKs (starts(i), starts(i+1)]). */
-  lazy val starts: Vector[Long] = rows.scanLeft(0L)(_ + _._3)
+  def total: Long = starts.last
+  /** Cumulative row-start offsets (rows(i) covers PKs (starts(i), starts(i+1)]);
+    * a relation of more than `Long.MaxValue` tuples throws `ArithmeticException`.
+    */
+  lazy val starts: Vector[Long] = rows.scanLeft(0L)((n, r) => Math.addExact(n, r._3))
 }
 
 final case class DbSummary(relations: Vector[RelationSummary]) {

@@ -5,108 +5,89 @@ import repro.hydra.LPFormulator.{SubViewSolution, ViewLpResult}
 import scala.collection.mutable
 
 /** Deterministic post-LP processing (§5): align & merge sub-view solutions
-  * into view solutions, instantiate them at interval left boundaries, repair
-  * referential integrity across views, and extract relation summaries.
+  * into view solutions, repair referential integrity across views, and
+  * extract relation summaries. The sub-view solutions arrive instantiated:
+  * each region is already the point at its intervals' left boundaries
+  * (§5.2), fixed when the LP solution is read.
   */
 object SummaryGenerator {
 
-  /** One interval-row of a partially merged view solution. */
-  private final case class IRow(ivs: Vector[Interval], count: Long)
+  /** Rows of a (partial) view solution: a point over some attributes, and
+    * the number of tuples carrying it.
+    */
+  private type Rows = Vector[(Vector[Double], Long)]
 
   /** Align & merge the RIP-ordered sub-view solutions into a single view
-    * solution, then instantiate every interval at its left boundary
-    * (§5.1–5.2). Unconstrained view attributes get their domain minimum.
+    * solution (§5.1). The merge starts from one row holding the view total
+    * over no attributes. View attributes no sub-view constrains get their
+    * domain minimum.
     */
   def viewSolution(schema: SchemaDef, lp: ViewLpResult): ViewTable = {
     val allAttrs = schema.viewAttrs(lp.relation).toVector
     if (lp.total <= 0) return ViewTable(lp.relation, allAttrs, Vector.empty)
 
-    var curAttrs = Vector.empty[String]
-    var curRows = Vector.empty[IRow]
-    lp.solutions.foreach { s =>
-      val merged = mergeNext(schema, curAttrs, curRows, s)
-      curAttrs = merged._1; curRows = merged._2
-    }
-    if (curAttrs.isEmpty) {
-      // No constrained attributes at all: one degenerate row of size total.
-      val vals = allAttrs.map(a => schema.attrByName(a).lo)
-      return ViewTable(lp.relation, allAttrs, Vector((vals, lp.total)))
-    }
-    // Extend with unconstrained attributes and order columns canonically.
-    val missing = allAttrs.filterNot(curAttrs.contains)
-    val extended = curAttrs ++ missing
-    val defaults = missing.map(a => { val at = schema.attrByName(a); Interval(at.lo, at.hi) })
-    val perm = allAttrs.map(extended.indexOf)
-    val rows = curRows.filter(_.count > 0).map { r =>
-      val full = r.ivs ++ defaults
-      (perm.map(i => full(i).lo), r.count)
-    }
-    ViewTable(lp.relation, allAttrs, rows)
+    val start = (Vector.empty[String], Vector((Vector.empty[Double], lp.total)))
+    val (attrs, rows) = lp.solutions.foldLeft(start) { case ((a, r), s) => mergeNext(schema, a, r, s) }
+    val cols = allAttrs.map(a => (attrs.indexOf(a), schema.attrByName(a).lo))
+    ViewTable(lp.relation, allAttrs, rows.map { case (p, c) =>
+      (cols.map { case (i, lo) => if (i >= 0) p(i) else lo }, c)
+    })
   }
 
-  /** One align-and-merge step (Algorithm 3 + §5.1.2–5.1.3): sort both sides
-    * on the shared-attribute cells, split rows so counts pair up, then join
-    * positionally. With an exact LP solution the per-cell totals match by
-    * the consistency constraints; leftovers (inexact fallback only) reuse
-    * the last row of the shorter side.
+  /** One align-and-merge step (Algorithm 3 + §5.1.2–5.1.3): group both sides
+    * on their shared coordinates, split rows so counts pair up, then join
+    * positionally. With an exact LP solution the per-value totals match by
+    * the consistency constraints; leftovers (inexact fallback only) are
+    * padded with the other side's last row, or with domain minima where
+    * the other side has no row with those shared values.
     */
   private def mergeNext(
       schema: SchemaDef,
       curAttrs: Vector[String],
-      curRows: Vector[IRow],
+      curRows: Rows,
       s: SubViewSolution,
-  ): (Vector[String], Vector[IRow]) = {
+  ): (Vector[String], Rows) = {
     val sAttrs = s.sub.attrs
-    val sRows = s.rows.map { case (b, c) => IRow(b.ivs, c) }
-    if (curAttrs.isEmpty) return (sAttrs, sRows)
-
     val shared = curAttrs.filter(sAttrs.contains)
     val newAttrs = sAttrs.filterNot(shared.contains)
-    val outAttrs = curAttrs ++ newAttrs
     val curSharedIdx = shared.map(curAttrs.indexOf)
     val sSharedIdx = shared.map(sAttrs.indexOf)
     val sNewIdx = newAttrs.map(sAttrs.indexOf)
-    val defaultsNew = newAttrs.map(a => { val at = schema.attrByName(a); Interval(at.lo, at.hi) })
+    def minima(attrs: Vector[String]): Vector[Double] = attrs.map(schema.attrByName(_).lo)
 
-    def sigOf(r: IRow, idx: Vector[Int]): Vector[Double] = idx.map(i => r.ivs(i).lo)
-    val ga = curRows.groupBy(sigOf(_, curSharedIdx))
-    val gb = sRows.groupBy(sigOf(_, sSharedIdx))
-    val out = Vector.newBuilder[IRow]
+    val ga = curRows.groupBy { case (p, _) => curSharedIdx.map(p) }
+    val gb = s.rows.groupBy { case (p, _) => sSharedIdx.map(p) }
+    val out = Vector.newBuilder[(Vector[Double], Long)]
 
     for (sig <- (ga.keySet ++ gb.keySet).toVector.sortBy(_.mkString(","))) {
       val as = ga.getOrElse(sig, Vector.empty)
       val bs = gb.getOrElse(sig, Vector.empty)
       var i = 0; var j = 0
-      var remA = if (as.nonEmpty) as(0).count else 0L
-      var remB = if (bs.nonEmpty) bs(0).count else 0L
+      var remA = if (as.nonEmpty) as(0)._2 else 0L
+      var remB = if (bs.nonEmpty) bs(0)._2 else 0L
       while (i < as.size && j < bs.size) {
         val take = math.min(remA, remB)
         if (take > 0)
-          out += IRow(as(i).ivs ++ sNewIdx.map(bs(j).ivs), take)
+          out += ((as(i)._1 ++ sNewIdx.map(bs(j)._1), take))
         remA -= take; remB -= take
-        if (remA == 0) { i += 1; if (i < as.size) remA = as(i).count }
-        if (remB == 0) { j += 1; if (j < bs.size) remB = bs(j).count }
+        if (remA == 0) { i += 1; if (i < as.size) remA = as(i)._2 }
+        if (remB == 0) { j += 1; if (j < bs.size) remB = bs(j)._2 }
       }
-      // Inexact-LP fallbacks: pad with the opposite side's last row / defaults.
+      // Inexact-LP fallbacks. Unpaired current rows take the sub-view's last
+      // row, or domain minima; unpaired sub-view rows are dropped unless no
+      // current row has these shared values, when the current attributes
+      // take domain minima around the shared ones.
+      val ext = if (bs.nonEmpty) sNewIdx.map(bs.last._1) else minima(newAttrs)
       while (i < as.size) {
-        val ext = if (bs.nonEmpty) sNewIdx.map(bs.last.ivs) else defaultsNew
-        if (remA > 0) out += IRow(as(i).ivs ++ ext, remA)
-        i += 1; if (i < as.size) remA = as(i).count
+        if (remA > 0) out += ((as(i)._1 ++ ext, remA))
+        i += 1; if (i < as.size) remA = as(i)._2
       }
-      while (j < bs.size) {
-        if (as.isEmpty && remB > 0) {
-          // No left-side row with this signature: synthesize one from domain
-          // defaults, copying the shared attributes from the right side.
-          val leftDefaults = curAttrs.map(a => { val at = schema.attrByName(a); Interval(at.lo, at.hi) })
-          val withShared = curSharedIdx.zip(sSharedIdx).foldLeft(leftDefaults) {
-            case (acc, (ci, si)) => acc.updated(ci, bs(j).ivs(si))
-          }
-          out += IRow(withShared ++ sNewIdx.map(bs(j).ivs), remB)
-        }
-        j += 1; if (j < bs.size) remB = bs(j).count
+      if (as.isEmpty) {
+        val left = curSharedIdx.zip(sig).foldLeft(minima(curAttrs)) { case (p, (ci, v)) => p.updated(ci, v) }
+        bs.foreach { case (p, c) => if (c > 0) out += ((left ++ sNewIdx.map(p), c)) }
       }
     }
-    (outAttrs, out.result())
+    (curAttrs ++ newAttrs, out.result())
   }
 
   final case class Result(
@@ -152,7 +133,7 @@ object SummaryGenerator {
       var cum = 0L
       val m = mutable.Map[Vector[Double], Long]()
       // Keep the FIRST matching block ("cumulative sum till v is reached").
-      rows.foreach { case (vals, c) => if (!m.contains(vals)) m(vals) = cum; cum += c }
+      rows.foreach { case (vals, c) => if (!m.contains(vals)) m(vals) = cum; cum = Math.addExact(cum, c) }
       rel -> m.toMap
     }.toMap
 

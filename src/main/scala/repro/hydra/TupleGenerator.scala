@@ -25,7 +25,10 @@ import scala.jdk.CollectionConverters._
   *
   * Options: `path` (summary file), `relation`, `numPartitions` (default 16),
   * `startPk`/`endPk` (generate only PKs in `(startPk, endPk]` — used for
-  * slicing unboundedly large regenerated relations).
+  * slicing unboundedly large regenerated relations). The window must satisfy
+  * `0 ≤ startPk ≤ endPk ≤ total`, where `total` is the relation's tuple
+  * count and the default `endPk`; any other window is rejected with an
+  * `IllegalArgumentException` when Spark plans the scan, before any task runs.
   */
 class SummarySource extends TableProvider {
   override def inferSchema(options: CaseInsensitiveStringMap): StructType =
@@ -74,6 +77,9 @@ private[hydra] class SummaryScan(tableSchema: StructType, options: Map[String, S
   private val startPk = opts.get("startpk").map(_.toLong).getOrElse(0L)
   private val endPk = opts.get("endpk").map(_.toLong).getOrElse(rel.total)
   private val numPartitions = opts.get("numpartitions").map(_.toInt).getOrElse(16)
+  require(0 <= startPk && startPk <= endPk && endPk <= rel.total,
+    s"PK window ($startPk, $endPk] of relation ${rel.relation}, total ${rel.total}: " +
+      s"need 0 <= startPk <= endPk <= ${rel.total}")
 
   override def readSchema(): StructType = tableSchema
   override def toBatch: Batch = this

@@ -126,44 +126,39 @@ object Simplex {
   /** Find a non-negative *integer* solution of `{ eqs, x ≥ 0 }` with proper
     * branch-and-bound: branch a fractional basic `x_j = f` into
     * `x_j ≤ ⌊f⌋` and `x_j ≥ ⌈f⌉`, each encoded as an equality with a fresh
-    * slack/surplus variable. Complete for these (bounded) systems up to the
+    * slack/surplus variable. The search starts from the root relaxation,
+    * solved once, which counts as the first of `maxNodes` nodes; each branch
+    * solves one more LP. Complete for these (bounded) systems up to the
     * node budget; past the budget the LP relaxation is floored and the
     * result flagged inexact. Returns None iff the LP itself is infeasible.
     */
   def feasibleIntegral(nVars: Int, eqs: Seq[Eq], maxNodes: Int = 1000): Option[IntegralSolution] = {
-    var nodes = 0
+    var nodes = 1 // the root relaxation
     var exhausted = false
 
-    // Branch constraints are (varIdx, bound, isUpper); each contributes one
-    // equality row with its own fresh slack variable at solve time.
-    def solveWith(branches: List[(Int, BigInt, Boolean)]): Option[Array[Rational]] = {
-      val total = nVars + branches.size
-      val extra = branches.zipWithIndex.map { case ((j, b, upper), k) =>
-        val slackSign = if (upper) Rational.One else Rational(-1) // x_j ± s = b
-        Eq(Seq(j -> Rational.One, (nVars + k) -> slackSign), Rational(b))
+    // Depth-first from a node's relaxation `sol`. Branch constraints are
+    // (varIdx, bound, isUpper), newest first; each contributes one equality
+    // row with its own fresh slack variable to its node's LP.
+    def search(branches: List[(Int, BigInt, Boolean)], sol: Array[Rational]): Option[Array[Rational]] =
+      sol.indexWhere(v => !v.isWhole) match {
+        case -1 => Some(sol)
+        case j =>
+          def child(branch: (Int, BigInt, Boolean)): Option[Array[Rational]] =
+            if (nodes >= maxNodes) { exhausted = true; None }
+            else {
+              nodes += 1
+              val bs = branch :: branches
+              val extra = bs.zipWithIndex.map { case ((v, b, upper), k) =>
+                val slackSign = if (upper) Rational.One else Rational(-1) // x_v ± s = b
+                Eq(Seq(v -> Rational.One, (nVars + k) -> slackSign), Rational(b))
+              }
+              feasible(nVars + bs.size, eqs ++ extra).flatMap(x => search(bs, x.take(nVars)))
+            }
+          child((j, sol(j).floor, true)).orElse(child((j, sol(j).ceil, false)))
       }
-      feasible(total, eqs ++ extra).map(_.take(nVars))
-    }
-
-    def search(branches: List[(Int, BigInt, Boolean)]): Option[Array[Rational]] = {
-      if (nodes >= maxNodes) { exhausted = true; return None }
-      nodes += 1
-      solveWith(branches) match {
-        case None => None
-        case Some(sol) =>
-          sol.indexWhere(v => !v.isWhole) match {
-            case -1 => Some(sol)
-            case j =>
-              val f = sol(j)
-              search((j, f.floor, true) :: branches)
-                .orElse(search((j, f.ceil, false) :: branches))
-          }
-      }
-    }
 
     val root = feasible(nVars, eqs).getOrElse(return None)
-    if (root.forall(_.isWhole)) return Some(IntegralSolution(root.map(_.num), exact = true))
-    search(Nil) match {
+    search(Nil, root) match {
       case Some(sol) => Some(IntegralSolution(sol.map(_.num), exact = true))
       case None =>
         // Either the node budget ran out or no integer point exists; fall

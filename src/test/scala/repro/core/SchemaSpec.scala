@@ -77,6 +77,16 @@ class SchemaSpec extends AnyFunSuite {
 class ViewGraphSpec extends AnyFunSuite {
   import ViewGraph._
 
+  /** Check the running-intersection property of an ordered clique list:
+    * each clique's intersection with the union of its predecessors must be
+    * contained in a single predecessor.
+    */
+  private def hasRip(svs: Seq[SubView]): Boolean =
+    svs.indices.drop(1).forall { i =>
+      val shared = svs(i).attrSet.intersect(svs.take(i).flatMap(_.attrs).toSet)
+      shared.isEmpty || svs.take(i).exists(p => shared.subsetOf(p.attrSet))
+    }
+
   private def cc(card: Long, attrs: String*): CC =
     CC("v", Dnf.of(Conjunct.of(attrs.map(a => AttrRange(a, Interval(0, 1)))).get), card)
 

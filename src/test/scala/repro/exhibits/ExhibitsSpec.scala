@@ -24,6 +24,29 @@ class ExhibitsSpec extends SparkSpec {
     assert(r.buckets.map(_._2).sum == r.ccs.size)
   }
 
+  /** Names in `java.io.tmpdir` that start with `prefix`. */
+  private def tempEntries(prefix: String): Set[String] =
+    new java.io.File(System.getProperty("java.io.tmpdir")).list().toSet.filter(_.startsWith(prefix))
+
+  test("scale: one row per scale, a 10^6-row slice, and no temp files left") {
+    val before = tempEntries("exa")
+    val r = Exhibits.scale(in)
+    assertTable(r.table, "§7.4 — summary construction vs modeled database scale",
+      Seq("scale", "≈data bytes", "summary build (ms)", "summary rows"))
+    assert(r.rows.map(_._1) == Seq(1L, 1000L, 1000000000L, 1000000000000L))
+    assert(r.sliceRows == 1000000L)
+    assert(tempEntries("exa") -- before == Set.empty)
+  }
+
+  test("fig15: one row per scanned relation, and no temp files left") {
+    val before = tempEntries("fig15")
+    val r = Exhibits.fig15(in)
+    assertTable(r.table, "Figure 15 — data supply times (aggregate scan)",
+      Seq("relation", "rows", "disk (parquet)", "dynamic (summary)"))
+    assert(r.rows.map(_._1) == Seq("store_returns", "web_sales", "inventory", "catalog_sales", "store_sales"))
+    assert(tempEntries("fig15") -- before == Set.empty)
+  }
+
   test("fig09: one row per cardinality decade of the WLc CCs") {
     assertHistogram(Exhibits.fig09(in), "Figure 9 — CC cardinality distribution, WLc")
   }

@@ -37,7 +37,7 @@ class LPFormulatorSpec extends AnyFunSuite {
     // Reconstruct counts per CC from the sub-view solutions.
     for (cc0 <- ccs; s <- res.solutions if cc0.pred.attrs.subsetOf(s.sub.attrSet)) {
       val got = s.rows.collect {
-        case (b, c) if cc0.pred.eval(s.sub.attrs.zip(b.loPoint).toMap) => c
+        case (p, c) if cc0.pred.eval(s.sub.attrs.zip(p).toMap) => c
       }.sum
       assert(got == cc0.card, s"CC $cc0 on ${s.sub.attrs}: got $got")
     }
@@ -50,7 +50,7 @@ class LPFormulatorSpec extends AnyFunSuite {
     val Seq(s1, s2) = res.solutions
     def marginal(s: LPFormulator.SubViewSolution): Map[Double, Long] = {
       val yIdx = s.sub.attrs.indexOf("y")
-      s.rows.groupBy(_._1.ivs(yIdx).lo).map { case (k, rs) => k -> rs.map(_._2).sum }
+      s.rows.groupBy(_._1(yIdx)).map { case (k, rs) => k -> rs.map(_._2).sum }
     }
     assert(marginal(s1) == marginal(s2), "y-marginals differ between sub-views")
   }
@@ -94,7 +94,7 @@ class LPFormulatorSpec extends AnyFunSuite {
     val s = res.solutions.head
     def count(lo: Double, hi: Double): Long = {
       val xIdx = s.sub.attrs.indexOf("x")
-      s.rows.collect { case (b, c) if b.ivs(xIdx).lo >= lo && b.ivs(xIdx).hi <= hi => c }.sum
+      s.rows.collect { case (p, c) if p(xIdx) >= lo && p(xIdx) < hi => c }.sum
     }
     assert(count(0, 50) == 600)
     assert(count(30, 50) == 300)

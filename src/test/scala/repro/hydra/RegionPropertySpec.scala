@@ -4,6 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import org.scalacheck.{Gen, Prop}
 import repro.PropSupport
 import repro.core._
+import repro.hydra.RegionTestSupport._
 
 /** Property-based stress of the region partitioner: random constraint sets
   * over a 3-D domain must always yield a partition that (a) covers, (b) is

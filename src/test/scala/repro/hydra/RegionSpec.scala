@@ -4,6 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import org.scalacheck.{Gen, Prop}
 import repro.PropSupport
 import repro.core._
+import repro.hydra.RegionTestSupport._
 
 /** Region-partitioning tests, anchored on the paper's "Person" example
   * (§3.2, Figure 3): grid-partitioning yields 16 cells, region-partitioning
@@ -36,7 +37,7 @@ class RegionSpec extends AnyFunSuite with PropSupport {
 
   test("valid partition is homogeneous within every block") {
     val subCs = Seq(c1, c2).flatMap(_.conjuncts)
-    val valid = RegionPartition.validPartition(domain, attrs, subCs)
+    val valid = RegionPartition.validPartitionLabeled(domain, attrs, subCs.toVector).map(_._1)
     valid.foreach { block =>
       val sigs = block.boxes.map { box =>
         val rep = attrs.zip(box.loPoint).toMap

@@ -14,18 +14,18 @@ class SummaryGeneratorSpec extends AnyFunSuite {
     Relation("V", "v_pk", Seq(Attr("A", 0, 100), Attr("B", 0, 10), Attr("C", 0, 5)), Nil)))
 
   private def stats(rel: String) = ViewLpStats(rel, 0, 0, 0, 0, exact = true)
-  private def box(ivs: (Double, Double)*): Box = Box(ivs.toVector.map(i => Interval(i._1, i._2)))
+  private def at(coords: Double*): Vector[Double] = coords.toVector
 
   test("align & merge reproduces the paper's Figure 8 example") {
     // Sub-views (A,B) and (A,C) with matching marginals on A.
     val ab = SubViewSolution(SubView(Vector("A", "B")), Vector(
-      (box((20, 40), (5, 8)), 20000L),
-      (box((40, 60), (5, 8)), 10000L),
-      (box((40, 60), (8, 10)), 20000L)))
+      (at(20, 5), 20000L),
+      (at(40, 5), 10000L),
+      (at(40, 8), 20000L)))
     val ac = SubViewSolution(SubView(Vector("A", "C")), Vector(
-      (box((20, 40), (2, 3)), 20000L),
-      (box((40, 60), (2, 3)), 25000L),
-      (box((40, 60), (3, 5)), 5000L)))
+      (at(20, 2), 20000L),
+      (at(40, 2), 25000L),
+      (at(40, 3), 5000L)))
     val vt = SummaryGenerator.viewSolution(schema,
       ViewLpResult("V", 50000, Vector(ab, ac), stats("V")))
     assert(vt.total == 50000)
@@ -40,7 +40,7 @@ class SummaryGeneratorSpec extends AnyFunSuite {
 
   test("instantiation assigns interval left boundaries (§5.2)") {
     val sol = SubViewSolution(SubView(Vector("A", "B")), Vector(
-      (box((20, 30), (5, 8)), 10000L)))
+      (at(20, 5), 10000L)))
     val vt = SummaryGenerator.viewSolution(schema,
       ViewLpResult("V", 10000, Vector(sol), stats("V")))
     assert(vt.rows == Vector((Vector(20.0, 5.0, 0.0), 10000L))) // C unconstrained → domain lo
@@ -60,9 +60,9 @@ class SummaryGeneratorSpec extends AnyFunSuite {
 
   test("disjoint sub-views merge positionally with matching totals") {
     val s1 = SubViewSolution(SubView(Vector("A")), Vector(
-      (box((0, 10)), 30L), (box((10, 20)), 70L)))
+      (at(0), 30L), (at(10), 70L)))
     val s2 = SubViewSolution(SubView(Vector("B")), Vector(
-      (box((0, 5)), 50L), (box((5, 10)), 50L)))
+      (at(0), 50L), (at(5), 50L)))
     val vt = SummaryGenerator.viewSolution(schema,
       ViewLpResult("V", 100, Vector(s1, s2), stats("V")))
     assert(vt.total == 100)
@@ -70,20 +70,55 @@ class SummaryGeneratorSpec extends AnyFunSuite {
     assert(vt.rows.map(_._2).sorted == Vector(20L, 30L, 50L))
   }
 
+  // A floored (inexact) LP leaves sub-views whose per-value totals disagree.
+  test("inexact merge pads leftover rows with the other side's last row") {
+    val ab = SubViewSolution(SubView(Vector("A", "B")), Vector(
+      (at(20, 5), 20L), (at(40, 5), 10L), (at(40, 8), 20L)))
+    val ac = SubViewSolution(SubView(Vector("A", "C")), Vector(
+      (at(20, 2), 25L), (at(40, 2), 10L), (at(40, 3), 5L)))
+    val vt = SummaryGenerator.viewSolution(schema,
+      ViewLpResult("V", 50, Vector(ab, ac), stats("V")))
+    // A=20: the sub-view's 5 extra tuples are dropped. A=40: the 15 (40,8)
+    // tuples left unpaired take C from the sub-view's last row.
+    assert(vt.rows == Vector(
+      (Vector(20.0, 5.0, 2.0), 20L), (Vector(40.0, 5.0, 2.0), 10L),
+      (Vector(40.0, 8.0, 3.0), 5L), (Vector(40.0, 8.0, 3.0), 15L)))
+  }
+
+  test("inexact merge pads shared values one side lacks with domain minima") {
+    val ab = SubViewSolution(SubView(Vector("A", "B")), Vector(
+      (at(20, 5), 20L), (at(60, 8), 30L)))
+    val ac = SubViewSolution(SubView(Vector("A", "C")), Vector(
+      (at(20, 2), 20L), (at(80, 3), 5L)))
+    val vt = SummaryGenerator.viewSolution(schema,
+      ViewLpResult("V", 50, Vector(ab, ac), stats("V")))
+    // A=60 has no (A,C) row: C = 0. A=80 has no (A,B) row: B = 0.
+    assert(vt.rows == Vector(
+      (Vector(20.0, 5.0, 2.0), 20L), (Vector(60.0, 8.0, 0.0), 30L), (Vector(80.0, 0.0, 3.0), 5L)))
+  }
+
+  test("a first sub-view short of the view total is padded with its last row") {
+    val ab = SubViewSolution(SubView(Vector("A", "B")), Vector((at(20, 5), 10L), (at(40, 8), 20L)))
+    val vt = SummaryGenerator.viewSolution(schema,
+      ViewLpResult("V", 50, Vector(ab), stats("V")))
+    assert(vt.rows == Vector(
+      (Vector(20.0, 5.0, 0.0), 10L), (Vector(40.0, 8.0, 0.0), 20L), (Vector(40.0, 8.0, 0.0), 20L)))
+  }
+
   private val fkSchema = SchemaDef(Seq(
     Relation("D", "d_pk", Seq(Attr("x", 0, 10)), Nil),
     Relation("F", "f_pk", Seq(Attr("z", 0, 10)), Seq(ForeignKey("d_fk", "D"))),
   ))
 
-  private def lpFor(rel: String, total: Long, rows: Vector[(Box, Long)], attrs: Vector[String]) =
+  private def lpFor(rel: String, total: Long, rows: Vector[(Vector[Double], Long)], attrs: Vector[String]) =
     ViewLpResult(rel, total, Vector(SubViewSolution(SubView(attrs), rows)), stats(rel))
 
   test("referential repair adds missing combos with NumTuples=1") {
     // F places tuples at x=3 and x=7; D only has x=3.
     val f = ViewLpResult("F", 100,
       Vector(SubViewSolution(SubView(Vector("x")), Vector(
-        (box((3, 4)), 60L), (box((7, 8)), 40L)))), stats("F"))
-    val d = lpFor("D", 50, Vector((box((3, 4)), 50L)), Vector("x"))
+        (at(3), 60L), (at(7), 40L)))), stats("F"))
+    val d = lpFor("D", 50, Vector((at(3), 50L)), Vector("x"))
     val res = SummaryGenerator.generate(fkSchema, Seq(d, f))
     assert(res.extraTuples("D") == 1)
     assert(res.viewTables("D").total == 51)
@@ -93,8 +128,8 @@ class SummaryGeneratorSpec extends AnyFunSuite {
   test("FK values use cumulative PK offsets into the target (§5.4)") {
     val f = ViewLpResult("F", 100,
       Vector(SubViewSolution(SubView(Vector("x")), Vector(
-        (box((0, 1)), 30L), (box((5, 6)), 70L)))), stats("F"))
-    val d = lpFor("D", 50, Vector((box((0, 1)), 20L), (box((5, 6)), 30L)), Vector("x"))
+        (at(0), 30L), (at(5), 70L)))), stats("F"))
+    val d = lpFor("D", 50, Vector((at(0), 20L), (at(5), 30L)), Vector("x"))
     val res = SummaryGenerator.generate(fkSchema, Seq(d, f))
     val fSum = res.summary.byName("F")
     val fView = res.viewTables("F")
@@ -117,11 +152,11 @@ class SummaryGeneratorSpec extends AnyFunSuite {
     ))
     // A1's view (z,y,w) has combo (1, 2, 9); B2's view (y,w) lacks it; C3 lacks w=9.
     val a = ViewLpResult("A1", 10, Vector(SubViewSolution(
-      SubView(Vector("w", "y", "z")), Vector((box((9, 10), (2, 3), (1, 2)), 10L)))), stats("A1"))
+      SubView(Vector("w", "y", "z")), Vector((at(9, 2, 1), 10L)))), stats("A1"))
     val b = ViewLpResult("B2", 5, Vector(SubViewSolution(
-      SubView(Vector("w", "y")), Vector((box((0, 1), (2, 3)), 5L)))), stats("B2"))
+      SubView(Vector("w", "y")), Vector((at(0, 2), 5L)))), stats("B2"))
     val c = ViewLpResult("C3", 5, Vector(SubViewSolution(
-      SubView(Vector("w")), Vector((box((0, 1)), 5L)))), stats("C3"))
+      SubView(Vector("w")), Vector((at(0), 5L)))), stats("C3"))
     val res = SummaryGenerator.generate(chain, Seq(c, b, a))
     assert(res.extraTuples("B2") == 1, s"got ${res.extraTuples}")
     assert(res.extraTuples("C3") == 1)
@@ -136,8 +171,8 @@ class SummaryGeneratorSpec extends AnyFunSuite {
   test("generate is deterministic") {
     val f = ViewLpResult("F", 100,
       Vector(SubViewSolution(SubView(Vector("x")), Vector(
-        (box((3, 4)), 60L), (box((7, 8)), 40L)))), stats("F"))
-    val d = lpFor("D", 50, Vector((box((3, 4)), 50L)), Vector("x"))
+        (at(3), 60L), (at(7), 40L)))), stats("F"))
+    val d = lpFor("D", 50, Vector((at(3), 50L)), Vector("x"))
     val r1 = SummaryGenerator.generate(fkSchema, Seq(d, f))
     val r2 = SummaryGenerator.generate(fkSchema, Seq(d, f))
     assert(r1.summary == r2.summary)
@@ -159,6 +194,15 @@ class DbSummarySpec extends AnyFunSuite {
   test("starts are cumulative") {
     assert(sum.byName("r").starts == Vector(0L, 10L, 15L))
     assert(sum.byName("r").total == 15)
+  }
+
+  test("PK offsets past Long.MaxValue throw instead of wrapping") {
+    val big = DbSummary.parse(Vector("relation r r_pk", "attrs a", "fks ",
+      s"row 1.0;;${Long.MaxValue}", "row 2.0;;1"))
+    intercept[ArithmeticException](big.byName("r").starts)
+    intercept[ArithmeticException](big.byName("r").total)
+    val vt = ViewTable("v", Vector("a"), Vector((Vector(1.0), Long.MaxValue), (Vector(2.0), 1L)))
+    intercept[ArithmeticException](vt.total)
   }
 
   test("parse rejects malformed tags") {

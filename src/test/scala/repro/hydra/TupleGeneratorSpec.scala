@@ -100,6 +100,17 @@ class TupleGeneratorSpec extends SparkSpec {
     assert(mm.getLong(0) == 101L && mm.getLong(1) == 250L)
   }
 
+  test("a PK window outside 0 <= startPk <= endPk <= total is rejected") {
+    val n = result.summary.byName("R").total
+    val negativeStart = spark.read.format(classOf[SummarySource].getName)
+      .option("relation", "R").option("startPk", -5L).load(summaryPath)
+    val pastTotal = TupleGenerator.dataFrame(spark, summaryPath, "R", endPk = n + 1)
+    for (df <- Seq(negativeStart, pastTotal)) {
+      val e = intercept[IllegalArgumentException](df.count())
+      assert(e.getMessage.contains(s"relation R, total $n"), e.getMessage)
+    }
+  }
+
   test("numPartitions controls split count without changing content") {
     val one = TupleGenerator.dataFrame(spark, summaryPath, "S", numPartitions = 1)
     val many = TupleGenerator.dataFrame(spark, summaryPath, "S", numPartitions = 7)
